@@ -17,7 +17,7 @@
     - [GET /metrics] — Prometheus text exposition.
     - [GET /healthz] — liveness probe.
     - [GET /policy] / [PUT /policy] — read / hot-swap the scheduling
-      policy by name (see {!scheduler_of_name}); the swap re-runs the
+      policy by name (see {!Scheduler.of_name}); the swap re-runs the
       policy's construction (Algorithm 1 for the optimized statics)
       without disturbing in-flight jobs.  503 while draining.
     - [POST /drain] — stop admitting, run every in-flight job to
@@ -28,14 +28,6 @@
     tests alike; {!serve} mounts it on {!Statsched_obs.Http}. *)
 
 type t
-
-val policy_names : string list
-(** Names {!scheduler_of_name} accepts (without the [:d] suffix). *)
-
-val scheduler_of_name : string -> (Scheduler.kind, string) result
-(** Parse a policy name as used by the [schedsim] CLI — ["orr"],
-    ["jsq-d"], ["jiq"], ... — with an optional [:d] probe-count suffix
-    (["jsq-d:4"]).  [Error] carries a human-readable reason. *)
 
 val create :
   ?journal:Statsched_obs.Journal.t ->

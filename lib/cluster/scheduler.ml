@@ -111,3 +111,35 @@ let name = function
       | Statsched_core.Policy.Random -> "ORAN"
     in
     Printf.sprintf "Adaptive%s(T=%g%s)" d period (if windowed then ",window" else "")
+
+let names =
+  [ "wran"; "oran"; "wrr"; "orr"; "least-load"; "two-choices"; "adaptive-orr";
+    "sita"; "jsq-d"; "jsq-d-uniform"; "jiq" ]
+
+let of_name ?(d = 2) name =
+  let base, count =
+    match String.index_opt name ':' with
+    | None -> (name, string_of_int d)
+    | Some i -> (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
+  in
+  match int_of_string_opt count with
+  | Some d when d >= 1 -> (
+    match base with
+    | "wran" -> Ok (static Statsched_core.Policy.wran)
+    | "oran" -> Ok (static Statsched_core.Policy.oran)
+    | "wrr" -> Ok (static Statsched_core.Policy.wrr)
+    | "orr" -> Ok (static Statsched_core.Policy.orr)
+    | "least-load" -> Ok least_load_paper
+    | "two-choices" -> Ok (two_choices ~d ())
+    | "adaptive-orr" -> Ok (adaptive_orr ())
+    | "sita" -> Ok (sita_paper ())
+    | "jsq-d" -> Ok (jsq ~d ())
+    (* The uniform probe sampler predating speed-weighted probing, kept
+       addressable so recorded counterexamples still replay
+       bit-identically. *)
+    | "jsq-d-uniform" -> Ok (jsq ~d ~weighted:false ())
+    | "jiq" -> Ok jiq
+    | s ->
+      Error
+        (Printf.sprintf "unknown policy %S (known: %s)" s (String.concat ", " names)))
+  | Some _ | None -> Error (Printf.sprintf "bad probe count %S (want a positive int)" count)

@@ -139,3 +139,16 @@ val two_choices : ?d:int -> unit -> kind
     full Least-Load. *)
 
 val name : kind -> string
+
+val names : string list
+(** Policy names {!of_name} accepts, in menu order: wran, oran, wrr, orr,
+    least-load, two-choices, adaptive-orr, sita, jsq-d, jsq-d-uniform,
+    jiq.  The single vocabulary of the [schedsim] CLI, the [schedsimd]
+    daemon and simcheck scenarios. *)
+
+val of_name : ?d:int -> string -> (kind, string) result
+(** Parse a policy name from {!names}, with an optional [:d] probe-count
+    suffix (["jsq-d:4"]) that overrides [d] (default 2).  The count is
+    the sample size of [jsq-d], [jsq-d-uniform] and [two-choices] and is
+    ignored by the rest.  [Error] carries a human-readable reason: an
+    unknown name (listing {!names}) or a count below 1. *)

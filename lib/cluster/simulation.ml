@@ -176,6 +176,47 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
   let least_load_state = ref None in
   let jiq_state = ref None in
   let servers_ref = ref [||] in
+  (* Periodic activities the installed policy started (the stale
+     least-load poller, the adaptive recompute); a swap stops them so
+     the abandoned state stops ticking. *)
+  let policy_periodic = ref [] in
+  let policy_every ~period f =
+    policy_periodic := Engine.every engine ~period f :: !policy_periodic
+  in
+  (* Blacklist remap shared by the static policies: decisions come from
+     [pick] on the instance built for the full speed vector ([base]);
+     while a blacklist plan has computers down the instance is rebuilt
+     on the surviving sub-vector and its indices mapped back. *)
+  let remapped ~intended ~rebuild ~pick base =
+    let current = ref base in
+    let map = ref None in
+    let select job =
+      let i = pick !current job in
+      match !map with None -> i | Some m -> m.(i)
+    in
+    let reset () =
+      current := base;
+      map := None
+    in
+    let on_capacity eff =
+      if same_speeds eff cfg.speeds then reset ()
+      else begin
+        let up = up_indices eff in
+        if Array.length up = 0 then reset ()
+        else begin
+          current := rebuild (Array.map (fun i -> eff.(i)) up);
+          map := Some up
+        end
+      end
+    in
+    {
+      sf_select = select;
+      sf_intended = intended;
+      sf_on_departure = (fun _job -> ());
+      sf_on_capacity = on_capacity;
+    }
+  in
+  let pick_dispatch d _job = Core.Dispatch.select d in
   (* Build one policy's callback bundle.  Called once at creation and
      again on every {!Driver.set_scheduler}: the RNG streams are shared
      across builds (the streams simply continue), and a swap seeds the
@@ -198,104 +239,26 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
         | Core.Policy.Weighted | Core.Policy.Optimized -> true
       in
       check_alloc ~saturation ~label:"static" ~rho ~speeds:cfg.speeds alloc;
-      let base_dispatcher = Core.Policy.dispatcher_of policy ~rng:dispatch_rng alloc in
-      let dispatcher = ref base_dispatcher in
-      let map = ref None in
-      let select _job =
-        let i = Core.Dispatch.select !dispatcher in
-        match !map with None -> i | Some m -> m.(i)
-      in
-      let on_capacity eff =
-        if same_speeds eff cfg.speeds then begin
-          dispatcher := base_dispatcher;
-          map := None
-        end
-        else begin
-          let up = up_indices eff in
-          if Array.length up = 0 then begin
-            dispatcher := base_dispatcher;
-            map := None
-          end
-          else begin
-            let sub = Array.map (fun i -> eff.(i)) up in
-            let alloc' = Core.Policy.allocation_of policy ~rho:(scaled_rho sub) sub in
-            check_alloc ~saturation ~label:"static-refit" ~rho:(scaled_rho sub)
-              ~speeds:sub alloc';
-            dispatcher := Core.Policy.dispatcher_of policy ~rng:dispatch_rng alloc';
-            map := Some up
-          end
-        end
-      in
-      {
-        sf_select = select;
-        sf_intended = (fun () -> Some alloc);
-        sf_on_departure = (fun _job -> ());
-        sf_on_capacity = on_capacity;
-      }
+      remapped ~pick:pick_dispatch
+        ~intended:(fun () -> Some alloc)
+        ~rebuild:(fun sub ->
+          let rho = scaled_rho sub in
+          let alloc' = Core.Policy.allocation_of policy ~rho sub in
+          check_alloc ~saturation ~label:"static-refit" ~rho ~speeds:sub alloc';
+          Core.Policy.dispatcher_of policy ~rng:dispatch_rng alloc')
+        (Core.Policy.dispatcher_of policy ~rng:dispatch_rng alloc)
     | Scheduler.Static_custom { label = _; make } ->
-      let base_dispatcher = make ~rho ~speeds:cfg.speeds ~rng:dispatch_rng in
-      let dispatcher = ref base_dispatcher in
-      let map = ref None in
-      let select _job =
-        let i = Core.Dispatch.select !dispatcher in
-        match !map with None -> i | Some m -> m.(i)
-      in
-      let on_capacity eff =
-        if same_speeds eff cfg.speeds then begin
-          dispatcher := base_dispatcher;
-          map := None
-        end
-        else begin
-          let up = up_indices eff in
-          if Array.length up = 0 then begin
-            dispatcher := base_dispatcher;
-            map := None
-          end
-          else begin
-            let sub = Array.map (fun i -> eff.(i)) up in
-            dispatcher := make ~rho:(scaled_rho sub) ~speeds:sub ~rng:dispatch_rng;
-            map := Some up
-          end
-        end
-      in
-      {
-        sf_select = select;
-        sf_intended = (fun () -> Some (Core.Dispatch.fractions base_dispatcher));
-        sf_on_departure = (fun _job -> ());
-        sf_on_capacity = on_capacity;
-      }
+      let base = make ~rho ~speeds:cfg.speeds ~rng:dispatch_rng in
+      remapped ~pick:pick_dispatch
+        ~intended:(fun () -> Some (Core.Dispatch.fractions base))
+        ~rebuild:(fun sub -> make ~rho:(scaled_rho sub) ~speeds:sub ~rng:dispatch_rng)
+        base
     | Scheduler.Sita { params; small_to } ->
-      let base_sita = Core.Sita.build_bounded_pareto params ~speeds:cfg.speeds ~small_to in
-      let sita = ref base_sita in
-      let map = ref None in
-      let select job =
-        let i = Core.Sita.select !sita ~size:job.Q.Job.size in
-        match !map with None -> i | Some m -> m.(i)
-      in
-      let on_capacity eff =
-        if same_speeds eff cfg.speeds then begin
-          sita := base_sita;
-          map := None
-        end
-        else begin
-          let up = up_indices eff in
-          if Array.length up = 0 then begin
-            sita := base_sita;
-            map := None
-          end
-          else begin
-            let sub = Array.map (fun i -> eff.(i)) up in
-            sita := Core.Sita.build_bounded_pareto params ~speeds:sub ~small_to;
-            map := Some up
-          end
-        end
-      in
-      {
-        sf_select = select;
-        sf_intended = (fun () -> None);
-        sf_on_departure = (fun _job -> ());
-        sf_on_capacity = on_capacity;
-      }
+      remapped
+        ~pick:(fun sita job -> Core.Sita.select sita ~size:job.Q.Job.size)
+        ~intended:(fun () -> None)
+        ~rebuild:(fun sub -> Core.Sita.build_bounded_pareto params ~speeds:sub ~small_to)
+        (Core.Sita.build_bounded_pareto params ~speeds:cfg.speeds ~small_to)
     | Scheduler.Stale_least_load { poll_period; count_in_flight } ->
       let state = Core.Least_load.create cfg.speeds in
       least_load_state := Some state;
@@ -304,7 +267,7 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
           Core.Least_load.set_load_index state i
             (server.Q.Server_intf.in_system ()))
         !servers_ref;
-      Engine.every engine ~period:poll_period (fun _ ->
+      policy_every ~period:poll_period (fun _ ->
           Array.iteri
             (fun i server ->
               Core.Least_load.set_load_index state i
@@ -379,7 +342,7 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
           dispatcher := make_dispatcher rho_hat
         end
       in
-      Engine.every engine ~period (fun _ -> recompute ());
+      policy_every ~period (fun _ -> recompute ());
       let select _job =
         let i = Core.Dispatch.select !dispatcher in
         match !sub_state with None -> i | Some (_, m) -> m.(i)
@@ -566,11 +529,12 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
   | None -> ()
   | Some (period, f) ->
     if period <= 0.0 then invalid_arg "Simulation.run: on_tick period <= 0";
-    Engine.every engine ~period (fun e ->
-        let queues =
-          Array.map (fun s -> s.Q.Server_intf.in_system ()) servers
-        in
-        f ~time:(Engine.now e) ~queues));
+    ignore
+      (Engine.every engine ~period (fun e ->
+           let queues =
+             Array.map (fun s -> s.Q.Server_intf.in_system ()) servers
+           in
+           f ~time:(Engine.now e) ~queues)));
   (* Progress reporting rides the same periodic-event mechanism as
      [on_tick]: it adds heartbeat events (so [events_executed] grows) but
      never draws randomness, so metrics and completion order are
@@ -579,15 +543,16 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
   | None -> ()
   | Some (period, f) ->
     if period <= 0.0 then invalid_arg "Simulation.run: on_progress period <= 0";
-    Engine.every engine ~period (fun e ->
-        f
-          {
-            sim_time = Engine.now e;
-            arrivals = !total_arrivals;
-            completions = !total_completions;
-            measured = Collector.jobs_measured collector;
-            events = Engine.events_executed e;
-          }));
+    ignore
+      (Engine.every engine ~period (fun e ->
+           f
+             {
+               sim_time = Engine.now e;
+               arrivals = !total_arrivals;
+               completions = !total_completions;
+               measured = Collector.jobs_measured collector;
+               events = Engine.events_executed e;
+             })));
 
   (* Fault engine: per-computer alternating up/down renewal processes.
      Each (process, target) pair runs its own cycle off the dedicated
@@ -832,7 +797,14 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
     }
   in
   let set_scheduler kind =
-    sched := make_sched kind;
+    let old_periodic = !policy_periodic in
+    policy_periodic := [];
+    (match make_sched kind with
+    | fns -> sched := fns
+    | exception e ->
+      policy_periodic := old_periodic;
+      raise e);
+    List.iter (Engine.stop_every engine) old_periodic;
     current_kind := kind;
     match !current_eff with
     | Some eff -> (!sched).sf_on_capacity eff

@@ -227,9 +227,9 @@ module Driver : sig
       are not replayable-neutral.  A policy whose construction fails
       (e.g. an infeasible static allocation under sanitizers) raises and
       leaves the previous policy in place.  Swapping away from a
-      [Stale_least_load] or [Adaptive] policy leaves its periodic
-      refresh event running against the abandoned state — harmless, but
-      each swap to such a policy adds another. *)
+      [Stale_least_load] or [Adaptive] policy stops its periodic refresh
+      event, so any number of swaps leaves the pending-event count as
+      it was. *)
 
   val scheduler : t -> Scheduler.kind
   (** The currently installed policy. *)

@@ -81,12 +81,22 @@ module Testing = struct
   let corrupt_heap e = Event_queue.Testing.corrupt e.queue
 end
 
+type periodic = { mutable next : event_handle; mutable stopped : bool }
+
 let every e ~period f =
   if period <= 0.0 then invalid_arg "Engine.every: period <= 0";
+  let p = { next = Event_queue.no_handle; stopped = false } in
   (* One closure for the lifetime of the periodic task: re-scheduling the
-     same handler value keeps the per-tick path allocation-free. *)
+     same handler value keeps the per-tick path allocation-free.  The
+     [stopped] check covers a [stop_every] issued by [f] itself, when
+     [p.next] is the event already firing. *)
   let rec handler e =
     f e;
-    ignore (schedule e ~delay:period handler)
+    if not p.stopped then p.next <- schedule e ~delay:period handler
   in
-  ignore (schedule e ~delay:period handler)
+  p.next <- schedule e ~delay:period handler;
+  p
+
+let stop_every e p =
+  p.stopped <- true;
+  ignore (cancel e p.next)

@@ -80,10 +80,16 @@ module Testing : sig
       false; see {!Event_queue.Testing.corrupt}. *)
 end
 
-val every : t -> period:float -> (t -> unit) -> unit
+type periodic
+(** A running periodic activity, stopped with {!stop_every}. *)
+
+val every : t -> period:float -> (t -> unit) -> periodic
 (** [every e ~period f] fires [f] at [now + period], [now + 2·period], …
-    for as long as the engine runs (each firing schedules the next).
-    There is no cancellation handle — periodic activities in this library
-    live for the whole simulation; bound them with {!run}'s [until].
+    until {!stop_every} is called on the returned handle (each firing
+    schedules the next).
 
     @raise Invalid_argument if [period <= 0]. *)
+
+val stop_every : t -> periodic -> unit
+(** Cancel the activity's pending firing; it never fires again.
+    Idempotent, and safe to call from the activity's own callback. *)

@@ -1,19 +1,10 @@
-(** Future-event list: a binary min-heap with a calendar-style overflow
-    band, keyed by timestamp.
+(** Future-event list: a binary min-heap keyed by timestamp.
 
     Ties are broken by insertion order (FIFO), which makes simulations
     deterministic: two events scheduled for the same instant fire in the
     order they were scheduled.  Cancellation is supported through handles
     with lazy deletion, so cancelling is O(1) and the cost is absorbed at
     pop time.
-
-    While the pending-event count stays under [ladder_threshold] this is
-    a plain binary heap.  Past the threshold (many-server runs: at
-    n = 10^4 computers the pending count tracks the cluster size) a far
-    band activates automatically: events beyond an adaptive time boundary
-    are appended unsorted in O(1) and heapified in slices of ~threshold
-    when the near heap drains.  The banding is invisible through this
-    interface — pop order depends only on [(time, insertion order)].
 
     Handles are slot-table based: memory for cancellation bookkeeping is
     O(maximum concurrently pending), independent of the total number of
@@ -34,12 +25,8 @@ val no_handle : handle
 val is_handle : handle -> bool
 (** [is_handle h] is [false] exactly for {!no_handle}. *)
 
-val create : ?initial_capacity:int -> ?ladder_threshold:int -> unit -> 'a t
-(** An empty queue.  [ladder_threshold] (default 4096) is the heap size
-    past which the far band activates; tests force small values to
-    exercise the banding, the engine keeps the default.
-
-    @raise Invalid_argument if [ladder_threshold < 1]. *)
+val create : unit -> 'a t
+(** An empty queue. *)
 
 val is_empty : 'a t -> bool
 
@@ -99,11 +86,9 @@ val high_water : 'a t -> int
     memory-pressure proxy. *)
 
 val heap_ordered : 'a t -> bool
-(** Audit the internal invariants: the heap property (every parent
-    precedes its children) and the band split (near-band times not
-    beyond the boundary, far-band times not before it).  Always [true]
-    unless the queue's internals have been corrupted; O(n), intended for
-    runtime sanitizers and tests. *)
+(** Audit the heap property: every parent precedes its children.
+    Always [true] unless the queue's internals have been corrupted; O(n),
+    intended for runtime sanitizers and tests. *)
 
 (**/**)
 
@@ -115,15 +100,9 @@ module Testing : sig
       actually fire; never call it elsewhere. *)
 
   val stored : 'a t -> int
-  (** Entries physically stored across both bands, including
+  (** Entries physically stored in the heap, including
       lazily-cancelled ones — the compaction tests bound this by a
       multiple of {!size}. *)
-
-  val far_size : 'a t -> int
-  (** Entries currently in the far band. *)
-
-  val band_active : 'a t -> bool
-  (** Whether the far band is currently enabled (boundary finite). *)
 
   val slot_capacity : 'a t -> int
   (** Capacity of the cancellation slot table — the memory-regression

@@ -20,9 +20,24 @@ type metric = {
   data : data;
 }
 
-type t = { mutable metrics : metric list (* newest first *) }
+(* A family: every metric sharing one name, exported under one
+   [# HELP]/[# TYPE] header taken from its first member. *)
+type family = {
+  first : metric;
+  mutable members : metric list;  (* newest first *)
+}
 
-let create () = { metrics = [] }
+(* Series are indexed by [(name, labels)] and families by name, so
+   registration is O(1) however many series exist; [families] keeps the
+   exposition order. *)
+type t = {
+  series : (string * (string * string) list, metric) Hashtbl.t;
+  by_name : (string, family) Hashtbl.t;
+  mutable families : family list;  (* newest first *)
+}
+
+let create () =
+  { series = Hashtbl.create 64; by_name = Hashtbl.create 16; families = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Registration                                                        *)
@@ -57,13 +72,14 @@ let strip_suffix name suffix =
     Some (String.sub name 0 (ln - ls))
   else None
 
+(* Run once per new family, never per series. *)
 let check_reserved t ~name ~kind =
   if kind = "histogram" then begin
     (* [le] is the bucket label the exposition writer appends. *)
     List.iter
       (fun suffix ->
         let series = name ^ suffix in
-        if List.exists (fun m -> m.name = series) t.metrics then
+        if Hashtbl.mem t.by_name series then
           invalid_arg
             (Printf.sprintf
                "Registry: histogram %s would shadow existing metric %s" name
@@ -74,17 +90,14 @@ let check_reserved t ~name ~kind =
     (fun suffix ->
       match strip_suffix name suffix with
       | None -> ()
-      | Some base ->
-        if
-          List.exists
-            (fun m ->
-              m.name = base && match m.data with Histogram_v _ -> true | _ -> false)
-            t.metrics
-        then
+      | Some base -> (
+        match Hashtbl.find_opt t.by_name base with
+        | Some { first = { data = Histogram_v _; _ }; _ } ->
           invalid_arg
             (Printf.sprintf
                "Registry: %s collides with the %s series of histogram %s" name
-               suffix base))
+               suffix base)
+        | Some _ | None -> ()))
     histogram_suffixes
 
 let register t ~help ~labels ~name ~make ~extract ~kind =
@@ -95,7 +108,7 @@ let register t ~help ~labels ~name ~make ~extract ~kind =
       if kind = "histogram" && k = "le" then
         invalid_arg "Registry: label name le is reserved on histograms")
     labels;
-  match List.find_opt (fun m -> m.name = name && m.labels = labels) t.metrics with
+  match Hashtbl.find_opt t.series (name, labels) with
   | Some m -> (
     match extract m.data with
     | Some v -> v
@@ -104,15 +117,23 @@ let register t ~help ~labels ~name ~make ~extract ~kind =
         (Printf.sprintf "Registry: %s already registered as a %s, requested as a %s"
            name (kind_name m.data) kind))
   | None ->
-    (match List.find_opt (fun m -> m.name = name) t.metrics with
-    | Some m when kind <> kind_name m.data ->
+    let family = Hashtbl.find_opt t.by_name name in
+    (match family with
+    | Some f when kind <> kind_name f.first.data ->
       invalid_arg
         (Printf.sprintf "Registry: family %s mixes kinds (%s vs %s)" name
-           (kind_name m.data) kind)
+           (kind_name f.first.data) kind)
     | Some _ -> ()
     | None -> check_reserved t ~name ~kind);
     let v, data = make () in
-    t.metrics <- { name; help; labels; data } :: t.metrics;
+    let m = { name; help; labels; data } in
+    Hashtbl.add t.series (name, labels) m;
+    (match family with
+    | Some f -> f.members <- m :: f.members
+    | None ->
+      let f = { first = m; members = [ m ] } in
+      Hashtbl.add t.by_name name f;
+      t.families <- f :: t.families);
     v
 
 let counter t ?(help = "") ?(labels = []) name =
@@ -146,7 +167,7 @@ let[@inline] counter_value c = c.v
 let[@inline] set (g : gauge) x = g.v <- x
 let[@inline] gauge_value (g : gauge) = g.v
 
-let metric_count t = List.length t.metrics
+let metric_count t = Hashtbl.length t.series
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition (format 0.0.4)                           *)
@@ -220,22 +241,15 @@ let render_metric buf m =
 
 let to_prometheus t =
   let buf = Buffer.create 4096 in
-  let in_order = List.rev t.metrics in
-  let emitted = Hashtbl.create 16 in
   List.iter
-    (fun m ->
-      if not (Hashtbl.mem emitted m.name) then begin
-        Hashtbl.add emitted m.name ();
-        if m.help <> "" then
-          Buffer.add_string buf
-            (Printf.sprintf "# HELP %s %s\n" m.name (escape_help m.help));
+    (fun f ->
+      if f.first.help <> "" then
         Buffer.add_string buf
-          (Printf.sprintf "# TYPE %s %s\n" m.name (kind_name m.data));
-        List.iter
-          (fun m' -> if m'.name = m.name then render_metric buf m')
-          in_order
-      end)
-    in_order;
+          (Printf.sprintf "# HELP %s %s\n" f.first.name (escape_help f.first.help));
+      Buffer.add_string buf
+        (Printf.sprintf "# TYPE %s %s\n" f.first.name (kind_name f.first.data));
+      List.iter (render_metric buf) (List.rev f.members))
+    (List.rev t.families);
   Buffer.contents buf
 
 let write_prometheus t path =

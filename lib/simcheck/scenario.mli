@@ -14,12 +14,10 @@
 (** {1 Schedulers} *)
 
 val scheduler_names : string list
-(** CLI names, in menu order: wran, oran, wrr, orr, least-load,
-    two-choices, adaptive-orr, sita, jsq-d, jiq. *)
+(** {!Statsched_cluster.Scheduler.names}. *)
 
 val scheduler_of_name : ?d:int -> string -> Statsched_cluster.Scheduler.kind
-(** [d] (default 2) is the sample size of [jsq-d] and [two-choices];
-    ignored by every other scheduler.
+(** {!Statsched_cluster.Scheduler.of_name}, raising on its [Error].
 
     @raise Invalid_argument on a name outside {!scheduler_names} or
     [d < 1]. *)

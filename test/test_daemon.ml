@@ -8,7 +8,7 @@ module Scheduler = Cluster.Scheduler
 module Http = Statsched_obs.Http
 
 let scheduler name =
-  match Daemon.scheduler_of_name name with
+  match Scheduler.of_name name with
   | Ok k -> k
   | Error msg -> Alcotest.fail msg
 
@@ -127,6 +127,31 @@ let driver_lifecycle_errors () =
     (Invalid_argument "Simulation.Driver.submit: already finalized") (fun () ->
       ignore (Driver.submit d ~size:1.0))
 
+(* A policy swap stops the periodic refresh of the policy it replaces
+   (the adaptive recompute, the stale least-load poller): 1 000 round
+   trips leave the pending-event count where it started. *)
+let swap_stops_periodic () =
+  let engine = ref None in
+  let cfg = config ~policy:"adaptive-orr" ~warmup:0.0 () in
+  let d =
+    Driver.create ~arrivals:`External ~on_engine:(fun e -> engine := Some e) cfg
+  in
+  let pending () =
+    match !engine with
+    | Some e -> Statsched_des.Engine.pending_events e
+    | None -> Alcotest.fail "engine hook never fired"
+  in
+  let before = pending () in
+  let stale = Scheduler.stale_least_load ~poll_period:50.0 () in
+  for _ = 1 to 1_000 do
+    Driver.set_scheduler d (scheduler "orr");
+    Driver.set_scheduler d stale;
+    Driver.set_scheduler d (scheduler "adaptive-orr")
+  done;
+  Alcotest.(check int) "pending events after 1000 swaps" before (pending ());
+  Driver.advance d ~to_:100_000.0;
+  Alcotest.(check int) "pending events after the refresh ticks" before (pending ())
+
 (* ------------------------------------------------------------------ *)
 (* Daemon endpoints (no sockets: handle_request + injected clock)      *)
 
@@ -232,17 +257,22 @@ let daemon_validation () =
   let d = Daemon.create ~clock:(fun () -> 0.0) (config ()) in
   Alcotest.(check bool) "no journal before drain" false
     (Daemon.write_journal d "/nonexistent/never-touched");
-  (match Daemon.scheduler_of_name "jsq-d:4" with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.fail msg);
-  (match Daemon.scheduler_of_name "jsq-d:x" with
+  List.iter
+    (fun name ->
+      match Scheduler.of_name name with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg)
+    [ "jsq-d:4"; "adaptive-orr"; "sita" ];
+  (match Scheduler.of_name "jsq-d:x" with
   | Ok _ -> Alcotest.fail "bad probe suffix accepted"
   | Error _ -> ());
-  match Daemon.scheduler_of_name "fifo" with
+  match Scheduler.of_name "fifo" with
   | Ok _ -> Alcotest.fail "unknown policy accepted"
   | Error msg ->
-    Alcotest.(check bool) "error lists the vocabulary" true
-      (String.length msg > 0)
+    Alcotest.(check string) "error lists the vocabulary"
+      "unknown policy \"fifo\" (known: wran, oran, wrr, orr, least-load, \
+       two-choices, adaptive-orr, sita, jsq-d, jsq-d-uniform, jiq)"
+      msg
 
 (* ------------------------------------------------------------------ *)
 (* The daemon dispatch path stays allocation-free                      *)
@@ -293,6 +323,7 @@ let suite =
       external_replay_matches_batch;
     test "driver: lifecycle validation and post-finalize death"
       driver_lifecycle_errors;
+    test "driver: policy swaps stop periodic refreshes" swap_stops_periodic;
     test "daemon: every endpoint and error path" daemon_endpoints;
     test "daemon: constructor and policy-name validation" daemon_validation;
     test "daemon: dispatch path allocation bound" daemon_submit_zero_alloc;

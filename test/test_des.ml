@@ -278,12 +278,28 @@ let eq_cancel_compacts () =
 let engine_every () =
   let e = Engine.create () in
   let fired = ref [] in
-  Engine.every e ~period:2.0 (fun e -> fired := Engine.now e :: !fired);
+  let p = Engine.every e ~period:2.0 (fun e -> fired := Engine.now e :: !fired) in
   Engine.run ~until:7.0 e;
   Alcotest.(check (list (float 0.0))) "fires at each period" [ 2.0; 4.0; 6.0 ]
     (List.rev !fired);
+  Engine.stop_every e p;
+  Engine.stop_every e p;
+  Alcotest.(check int) "stop cancels the pending firing" 0 (Engine.pending_events e);
+  Engine.run ~until:20.0 e;
+  Alcotest.(check int) "no firing after stop" 3 (List.length !fired);
+  (* Stopping from inside the callback must not reschedule. *)
+  let self = ref None in
+  let ticks = ref 0 in
+  self :=
+    Some
+      (Engine.every e ~period:1.0 (fun e ->
+           incr ticks;
+           if !ticks = 2 then Option.iter (Engine.stop_every e) !self));
+  Engine.run ~until:30.0 e;
+  Alcotest.(check int) "self-stop after two ticks" 2 !ticks;
+  Alcotest.(check int) "self-stop leaves nothing pending" 0 (Engine.pending_events e);
   Alcotest.check_raises "period <= 0" (Invalid_argument "Engine.every: period <= 0")
-    (fun () -> Engine.every e ~period:0.0 (fun _ -> ()))
+    (fun () -> ignore (Engine.every e ~period:0.0 (fun _ -> ())))
 
 let eq_high_water () =
   let q = Event_queue.create () in
@@ -315,11 +331,10 @@ let eq_hot_path_no_alloc () =
   (* The SoA queue must not allocate per event once its buffers are
      sized: [add] with a statically-allocated time, [pop_step] and the
      scratch reads all work in place.  Warm up (sizing the heap arrays,
-     the cancellation bitmap and the scratch slots), drain — the empty
-     branch of [pop_step] recycles the bitmap — then measure a full
-     add/drain cycle under [Gc.minor_words]. *)
+     the slot table and the scratch slot) with one full add/drain
+     cycle, then measure a second under [Gc.minor_words]. *)
   let n = 512 in
-  let q = Event_queue.create ~initial_capacity:(n + 1) () in
+  let q = Event_queue.create () in
   let cycle () =
     for _ = 1 to n do
       ignore (Event_queue.add q ~time:1.0 ())
@@ -412,58 +427,6 @@ let prop_eq_model =
   model_prop ~name:"model: heap matches sorted-list oracle"
     ~make_queue:(fun () -> Event_queue.create ())
 
-let prop_eq_model_ladder =
-  (* Same oracle with the far band forced on almost immediately: every
-     interleaving of adds, cancels and pops must pop bit-identically to
-     the sorted list even while events migrate between the bands. *)
-  model_prop ~name:"model: ladder bands match sorted-list oracle"
-    ~make_queue:(fun () -> Event_queue.create ~ladder_threshold:4 ())
-
-let eq_ladder_pop_identical () =
-  (* The banding must be invisible: a plain heap and a queue with a tiny
-     ladder threshold fed the same event stream (coarse times to force
-     FIFO ties, interleaved cancellations) pop bit-identical
-     (time, payload) streams. *)
-  let g = rng () in
-  let n = 20_000 in
-  let plain = Event_queue.create () in
-  let ladder = Event_queue.create ~ladder_threshold:64 () in
-  let hp = Array.make n Event_queue.no_handle in
-  let hl = Array.make n Event_queue.no_handle in
-  for i = 0 to n - 1 do
-    let t = float_of_int (Statsched_prng.Rng.int g 5000) /. 8.0 in
-    hp.(i) <- Event_queue.add plain ~time:t i;
-    hl.(i) <- Event_queue.add ladder ~time:t i;
-    (* Interleave pops and cancellations so migration happens mid-run. *)
-    if i land 7 = 3 then begin
-      let k = Statsched_prng.Rng.int g (i + 1) in
-      let cp = Event_queue.cancel plain hp.(k) in
-      let cl = Event_queue.cancel ladder hl.(k) in
-      Alcotest.(check bool) "cancel outcomes agree" cp cl
-    end;
-    if i land 15 = 9 then begin
-      match (Event_queue.pop plain, Event_queue.pop ladder) with
-      | Some (tp, ip), Some (tl, il) ->
-        if not (Float.equal tp tl) || ip <> il then
-          Alcotest.fail "mid-run pops diverge"
-      | None, None -> ()
-      | _ -> Alcotest.fail "mid-run pop presence diverges"
-    end
-  done;
-  Alcotest.(check bool) "far band actually exercised" true
-    (Event_queue.Testing.band_active ladder
-    || Event_queue.Testing.far_size ladder = 0);
-  let rec drain () =
-    match (Event_queue.pop plain, Event_queue.pop ladder) with
-    | Some (tp, ip), Some (tl, il) ->
-      if not (Float.equal tp tl) || ip <> il then
-        Alcotest.fail "drain pops diverge";
-      drain ()
-    | None, None -> ()
-    | _ -> Alcotest.fail "queues disagree on emptiness"
-  in
-  drain ()
-
 let eq_slot_table_bounded () =
   (* Regression for the O(total-events) cancellation bitmap: with 10^4
      events pending at all times and 2 * 10^5 scheduled over the run —
@@ -473,7 +436,7 @@ let eq_slot_table_bounded () =
      compacted) proportional to the live count. *)
   let pending = 10_000 in
   let churn = 200_000 in
-  let q = Event_queue.create ~ladder_threshold:1024 () in
+  let q = Event_queue.create () in
   let handles = Array.make pending Event_queue.no_handle in
   for i = 0 to pending - 1 do
     handles.(i) <- Event_queue.add q ~time:(float_of_int i) i
@@ -519,9 +482,6 @@ let suite =
     test "event_queue: hot path does not allocate" eq_hot_path_no_alloc;
     prop_eq_sorted;
     prop_eq_model;
-    prop_eq_model_ladder;
-    test "event_queue: ladder pops bit-identical to plain heap"
-      eq_ladder_pop_identical;
     test "event_queue: slot table bounded by high-water" eq_slot_table_bounded;
     test "engine: clock advances with events" engine_clock_advances;
     test "engine: nested scheduling" engine_nested_scheduling;

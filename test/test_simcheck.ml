@@ -129,7 +129,10 @@ let scenario_scheduler_names () =
     (fun name -> ignore (S.Scenario.scheduler_of_name name))
     S.Scenario.scheduler_names;
   Alcotest.check_raises "unknown scheduler rejected"
-    (Invalid_argument "unknown scheduler bogus") (fun () ->
+    (Invalid_argument
+       (Printf.sprintf "unknown policy \"bogus\" (known: %s)"
+          (String.concat ", " S.Scenario.scheduler_names)))
+    (fun () ->
       ignore (S.Scenario.scheduler_of_name "bogus"))
 
 (* ------------------------------------------------------------------ *)
